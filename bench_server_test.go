@@ -6,11 +6,12 @@
 //
 //	go test -bench Server -benchtime=1x
 //
-// measures it, and both the benchmarks and TestServerBenchBaseline
-// rewrite BENCH_server.json — queries/sec per stream count, simulated
-// per-query cost, and the plan-cache hit rate for both series, plus
-// the fast-over-measured throughput ratio — so future changes have a
-// trajectory to compare against. Wall-clock rates are host-dependent;
+// measures it and rewrites BENCH_server.json — queries/sec per stream
+// count, simulated per-query cost, and the plan-cache hit rate for both
+// series, plus the fast-over-measured throughput ratio — so future
+// changes have a trajectory to compare against. TestServerBenchBaseline
+// runs the same measurement under plain `go test` and gates it, but
+// leaves the tracked file alone. Wall-clock rates are host-dependent;
 // the simulated per-query milliseconds and the hit rates are
 // deterministic. The fast series is the regression gate: fast mode
 // exists to strip the simulation cost, so its single-stream
@@ -174,11 +175,10 @@ func runServerWorkload(tb testing.TB, streams, reps int, fast bool) streamPoint 
 	return p
 }
 
-// writeServerBaseline measures every stream count in both modes and
-// rewrites BENCH_server.json. Fast executions finish in microseconds,
-// so the fast series runs fastReps submissions per stream to get a
-// stable wall-clock rate.
-func writeServerBaseline(tb testing.TB, reps, fastReps int) benchBaseline {
+// measureServerBaseline measures every stream count in both modes.
+// Fast executions finish in microseconds, so the fast series runs
+// fastReps submissions per stream to get a stable wall-clock rate.
+func measureServerBaseline(tb testing.TB, reps, fastReps int) benchBaseline {
 	tb.Helper()
 	_, m := benchServerDB()
 	doc := benchBaseline{
@@ -198,6 +198,13 @@ func writeServerBaseline(tb testing.TB, reps, fastReps int) benchBaseline {
 	if doc.Streams[0].WallQPS > 0 {
 		doc.FastSpeedup = doc.FastStreams[0].WallQPS / doc.Streams[0].WallQPS
 	}
+	return doc
+}
+
+// writeServerBaseline rewrites BENCH_server.json with a measured
+// baseline.
+func writeServerBaseline(tb testing.TB, doc benchBaseline) {
+	tb.Helper()
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		tb.Fatal(err)
@@ -205,7 +212,6 @@ func writeServerBaseline(tb testing.TB, reps, fastReps int) benchBaseline {
 	if err := os.WriteFile("BENCH_server.json", append(buf, '\n'), 0o644); err != nil {
 		tb.Fatal(err)
 	}
-	return doc
 }
 
 // fastSpeedupFloor is the regression gate on the fast path: the whole
@@ -215,17 +221,18 @@ func writeServerBaseline(tb testing.TB, reps, fastReps int) benchBaseline {
 // run, so the ratio is robust to machine speed.
 const fastSpeedupFloor = 50.0
 
-// TestServerBenchBaseline produces the baseline during plain `go
+// TestServerBenchBaseline measures the baseline during plain `go
 // test` and pins its invariants: every sweep point serves the whole
 // workload and hits the primed plan cache, the measured series carries
 // simulated profiles and the fast series none, and the fast series
-// clears the throughput floor.
+// clears the throughput floor. It does not write BENCH_server.json;
+// BenchmarkServerStreams does.
 func TestServerBenchBaseline(t *testing.T) {
 	reps, fastReps := 6, 120
 	if testing.Short() {
 		reps, fastReps = 2, 40
 	}
-	doc := writeServerBaseline(t, reps, fastReps)
+	doc := measureServerBaseline(t, reps, fastReps)
 	if len(doc.Streams) != 3 || len(doc.FastStreams) != 3 {
 		t.Fatalf("want 3 sweep points per series, got %d measured + %d fast", len(doc.Streams), len(doc.FastStreams))
 	}
@@ -273,9 +280,9 @@ func checkSweepPoint(t *testing.T, series string, p streamPoint) {
 }
 
 // BenchmarkServerStreams measures wall queries/sec per stream count in
-// both modes; -benchtime=1x gives one full workload pass. The final
-// sub-benchmark also rewrites BENCH_server.json so `go test -bench
-// Server` emits the baseline too.
+// both modes; -benchtime=1x gives one full workload pass. It then
+// measures and rewrites BENCH_server.json, the only writer of the
+// tracked baseline.
 func BenchmarkServerStreams(b *testing.B) {
 	for _, streams := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
@@ -298,5 +305,5 @@ func BenchmarkServerStreams(b *testing.B) {
 			b.ReportMetric(last.PlanHitRate, "hit-rate")
 		})
 	}
-	writeServerBaseline(b, 6, 120)
+	writeServerBaseline(b, measureServerBaseline(b, 6, 120))
 }

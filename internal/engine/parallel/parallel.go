@@ -250,13 +250,14 @@ func NewWorkers(m *hw.Machine, pf mem.PrefetcherConfig, as *probe.AddrSpace, pre
 	return probes, workers
 }
 
-// NewFastWorkers builds the worker fleet of a profile-free fast run:
+// NewFastWorkers builds the worker fleet of a profile-free engine run:
 // the same address-space forks and worker shape as NewWorkers (thread
 // count clamped to the morsel count the same way), but no probes —
 // every worker runs with a nil probe, whose event hooks are no-ops.
 // The real computation, morsel partition and merge are untouched, so
-// a fast run's result is bit-identical to a measured run's; it simply
-// has no simulated cores to account.
+// the result is bit-identical to a measured run's; it simply has no
+// simulated cores to account. Fast mode itself runs relop.FastPlan;
+// this engine-side form serves as an independent reference for it.
 func NewFastWorkers(as *probe.AddrSpace, prep relop.Prepared, morsels []Morsel, threads int, name string) []relop.Worker {
 	if len(morsels) > 0 && threads > len(morsels) {
 		threads = len(morsels)

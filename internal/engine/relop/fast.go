@@ -1,6 +1,6 @@
 // fast.go is the profile-free vectorized executor behind fast mode.
 //
-// CompileFast lowers a join-free Pipeline onto flat column slices and
+// CompileFast lowers a Pipeline onto flat column slices and
 // closure-compiled vector kernels: filter conjuncts compact a selection
 // vector branchlessly, expressions evaluate chunk-at-a-time into reused
 // buffers, and grouping runs an open-addressing table hashed on the
@@ -9,16 +9,23 @@
 // interpretation — this is what the same scan costs when only the
 // answer matters, the headroom the measured profiles quantify.
 //
+// Joins run Tectorwise's vectorized join primitive (the source paper's
+// Section 8): every build side is filtered and hashed once per
+// execution into a chained table, and each driver chunk is probed as a
+// whole — hash every probe key, gather every chain head, then compare.
+// Matches land in per-table row vectors, so a batch row is one
+// (driver row, build row 1, …, build row k) combination and every
+// later kernel reads any table's columns through that table's vector.
+//
 // The partials it produces feed the shared FinalizeProbed, so a fast
 // Result is bit-identical to a measured run's at any thread count or
 // partitioning: integer aggregation commutes (sums wrap, min/max/count
 // are order-free) and the result checksum is order-insensitive by
-// construction. Pipelines with joins compile to no plan; fast execution
-// then falls back to the engines' nil-probe worker path, which runs
-// every shape.
+// construction.
 package relop
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 	"sort"
@@ -29,19 +36,27 @@ import (
 
 // fastChunk is the scan granularity: per-chunk buffers stay resident in
 // the host caches while bookkeeping amortizes over enough rows to
-// vanish.
+// vanish. It also caps a join batch: a probe whose duplicate-key
+// matches overflow it passes them on in sub-batches.
 const fastChunk = 1024
 
 // fastHashMul spreads mixed group keys over the open-addressing table
-// (Fibonacci hashing; the table's own GroupKey mix only combines the
-// key tuple).
+// and join keys over the build tables (Fibonacci hashing; the table's
+// own GroupKey mix only combines the key tuple).
 const fastHashMul = 0x9E3779B97F4A7C15
 
-// vecKernel evaluates an expression for every listed row into out
-// (len(out) == len(rows)).
-type vecKernel func(w *fastWorker, rows []int32, out []int64)
+// ErrNoFastPlan reports a pipeline CompileFast declines: a table too
+// large for 32-bit row indexes, or an expression reading a table the
+// plan has not joined at that point.
+var ErrNoFastPlan = errors.New("relop: pipeline has no fast plan (a table exceeds 2^31-1 rows or an expression reads an unjoined table)")
 
-// selKernel refines a selection in place and returns the kept prefix.
+// vecKernel evaluates an expression for every row of a batch into out.
+// rows[t] is table t's row vector; every vector of the tables the
+// expression reads has len(out) entries.
+type vecKernel func(w *fastWorker, rows [][]int32, out []int64)
+
+// selKernel refines a selection of one table's rows in place and
+// returns the kept prefix.
 type selKernel func(w *fastWorker, rows []int32) []int32
 
 // rangeSelKernel runs the first filter conjunct directly over a row
@@ -49,31 +64,75 @@ type selKernel func(w *fastWorker, rows []int32) []int32
 // through.
 type rangeSelKernel func(lo, hi int32, out []int32) []int32
 
-// FastPlan is a join-free pipeline compiled for probe-free execution.
-// It is immutable after CompileFast and safe for any number of
-// concurrent Execute calls; workers (selection vectors, value buffers,
-// group tables) are pooled and reset between executions.
+// fastFilter is a compiled conjunctive filter over one table: the most
+// selective span test scans the row range (nil: every row enters), and
+// the remaining conjuncts refine the surviving selection.
+type fastFilter struct {
+	first rangeSelKernel
+	rest  []selKernel
+}
+
+// run filters rows [lo, hi) into the worker's selection buffer.
+func (f *fastFilter) run(w *fastWorker, lo, hi int) []int32 {
+	var sel []int32
+	if f.first != nil {
+		sel = f.first(int32(lo), int32(hi), w.selBuf)
+	} else {
+		sel = w.selBuf[:hi-lo]
+		for i := range sel {
+			sel[i] = int32(lo + i)
+		}
+	}
+	for _, k := range f.rest {
+		if len(sel) == 0 {
+			break
+		}
+		sel = k(w, sel)
+	}
+	return sel
+}
+
+// fastJoin is one compiled equi-join: the build side's filter and key
+// over build-table rows, and the probe key over the tables joined
+// before it.
+type fastJoin struct {
+	build    int // build table index
+	rows     int // build table row count
+	filter   fastFilter
+	buildKey vecKernel
+	probeKey vecKernel
+	// carry lists the tables a probe batch already holds; their row
+	// vectors are copied through to every match.
+	carry []int
+}
+
+// FastPlan is a pipeline compiled for probe-free execution. It is
+// immutable after CompileFast and safe for any number of concurrent
+// Execute calls; workers (selection vectors, value buffers, group
+// tables) and join builds are pooled and reset between executions.
 type FastPlan struct {
 	pl       *Pipeline
 	rows     int
 	grouped  bool
 	nkeys    int
 	tableCap uint64
-	filter0  rangeSelKernel
-	filter   []selKernel
+	filter   fastFilter
+	joins    []fastJoin
 	keys     []vecKernel
 	aggs     []fastAgg
 	nbufs    int
 	pool     sync.Pool
+	builds   sync.Pool
 	// dense direct-indexes groups when every group key is a bare
 	// byte-width column (flag/status/key columns — the common analytic
 	// grouping): the packed key bytes address a flat table, no hashing.
 	dense *denseKeys
 	// fused collapses the whole pipeline into one pass when the plan is
-	// dense-grouped, every filter conjunct is a span test, and every
-	// aggregate is COUNT or a bare-column SUM: per row, a branchless
-	// filter bit masks the addends into code-indexed accumulators, so no
-	// selection vector or slot table ever materializes.
+	// join-free and dense-grouped, every filter conjunct is a span test,
+	// and every aggregate is COUNT or a bare-column SUM: per row, a
+	// branchless filter bit masks the addends into code-indexed
+	// accumulators, so no selection vector or slot table ever
+	// materializes.
 	fused *fusedDense
 }
 
@@ -99,56 +158,85 @@ type fusedCol8 struct {
 	v   []byte
 }
 
-// denseKeys holds the raw byte columns of a direct-indexed grouping;
-// k1 is nil for a single key.
+// denseKeys holds the raw byte columns of a direct-indexed grouping and
+// the tables they belong to; k1 is nil for a single key.
 type denseKeys struct {
 	k0, k1 []byte
+	t0, t1 int
 }
 
 // fastAgg is one compiled aggregate: COUNT ignores its argument (the
 // engines' Fold does too), a bare-column argument folds directly from
-// the column, anything else evaluates through its kernel first.
+// table tab's column, anything else evaluates through its kernel first.
 type fastAgg struct {
 	kind AggKind
 	arg  vecKernel
 	i64  []int64
 	i8   []byte
+	tab  int
 	seed int64
 }
 
 // CompileFast compiles pl, resolved against b, into a vectorized
-// probe-free executor. It returns nil when the pipeline's shape is not
-// specialized — joins, or a driver too large for 32-bit row indexes —
-// and the caller falls back to the engines' nil-probe path.
+// probe-free executor. It returns nil only when a table is too large
+// for 32-bit row indexes or the pipeline is malformed (a join chain
+// that does not connect its tables, or an expression reading a table
+// not joined at that point); callers report ErrNoFastPlan.
 func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
-	if len(pl.Joins) > 0 || pl.Tables[0].Rows > math.MaxInt32 {
+	if len(pl.Tables) == 0 || len(pl.Tables) > 64 || len(b.Tables) != len(pl.Tables) ||
+		len(pl.Joins) != len(pl.Tables)-1 {
 		return nil
 	}
-	fc := &fastCompiler{b: b, ok: true}
+	for _, t := range pl.Tables {
+		if t.Rows > math.MaxInt32 {
+			return nil
+		}
+	}
+	fc := &fastCompiler{b: b, ok: true, allowed: 1}
 	p := &FastPlan{
 		pl:      pl,
 		rows:    pl.Tables[0].Rows,
 		grouped: len(pl.GroupBy) > 0,
 		nkeys:   len(pl.GroupBy),
 	}
-	conds, rest, never := fc.pred(pl.Filter)
+	conds, rest, never := fc.pred(pl.Filter, 0)
+	joined := uint64(1) // the tables a probe batch holds, as a bit set
+	for ji, j := range pl.Joins {
+		if j.Build <= 0 || j.Build >= len(pl.Tables) || joined>>j.Build&1 == 1 {
+			return nil
+		}
+		fj := fastJoin{build: j.Build, rows: pl.Tables[j.Build].Rows, carry: []int{0}}
+		for _, pj := range pl.Joins[:ji] {
+			fj.carry = append(fj.carry, pj.Build)
+		}
+		fc.allowed = joined
+		fj.probeKey = fc.kernel(fc.expr(j.ProbeKey))
+		fc.allowed = 1 << j.Build
+		fj.buildKey = fc.kernel(fc.expr(j.BuildKey))
+		fj.filter = stageSpans(fc.pred(j.BuildFilter, j.Build))
+		p.joins = append(p.joins, fj)
+		joined |= 1 << j.Build
+	}
+	fc.allowed = joined
 	for _, g := range pl.GroupBy {
 		p.keys = append(p.keys, fc.kernel(fc.expr(g)))
 	}
-	if p.grouped && p.nkeys <= 2 {
-		cols := make([][]byte, 0, 2)
+	if fc.ok && p.grouped && p.nkeys <= 2 {
+		var cols [][]byte
+		var tabs []int
 		for _, g := range pl.GroupBy {
-			if g.Op != OpCol || g.Tab != 0 {
+			if g.Op != OpCol {
 				break
 			}
-			if c := b.Tables[0][g.Col]; c.Kind == I8 {
+			if c := b.Tables[g.Tab][g.Col]; c.Kind == I8 {
 				cols = append(cols, c.I8.V)
+				tabs = append(tabs, g.Tab)
 			}
 		}
 		if len(cols) == p.nkeys {
-			p.dense = &denseKeys{k0: cols[0]}
+			p.dense = &denseKeys{k0: cols[0], t0: tabs[0]}
 			if p.nkeys == 2 {
-				p.dense.k1 = cols[1]
+				p.dense.k1, p.dense.t1 = cols[1], tabs[1]
 			}
 		}
 	}
@@ -166,7 +254,7 @@ func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
 				break
 			}
 			fe := fc.expr(a.Arg)
-			fa.i64, fa.i8 = fe.i64, fe.i8
+			fa.i64, fa.i8, fa.tab = fe.i64, fe.i8, fe.tab
 			if fa.i64 == nil && fa.i8 == nil {
 				fa.arg = fc.kernel(fe)
 			}
@@ -176,16 +264,11 @@ func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
 	if !fc.ok {
 		return nil
 	}
-	switch {
-	case never:
-		// Some conjunct excludes every present value: nothing matches,
-		// whatever the other conjuncts say.
-		p.filter0 = neverMatch
-	case len(rest) == 0:
+	if !never && len(rest) == 0 {
 		p.fused = p.fuse(conds)
 	}
-	if p.filter0 == nil && p.fused == nil {
-		p.filter0, p.filter = stageSpans(conds, rest)
+	if p.fused == nil {
+		p.filter = stageSpans(conds, rest, never)
 	}
 	p.nbufs = fc.nbufs
 	// Size the group table from the planner estimate, capped so a wild
@@ -208,7 +291,7 @@ func CompileFast(pl *Pipeline, b *Bound) *FastPlan {
 // a filter bit can mask (their seed is 0 and a masked addend of 0 is a
 // no-op); MIN/MAX and computed arguments keep the staged path.
 func (p *FastPlan) fuse(conds []spanCond) *fusedDense {
-	if p.dense == nil {
+	if p.dense == nil || len(p.joins) > 0 {
 		return nil
 	}
 	size := 256
@@ -234,8 +317,9 @@ func (p *FastPlan) fuse(conds []spanCond) *fusedDense {
 
 // Execute runs the plan on up to threads workers over contiguous row
 // ranges and returns the finalized result plus the worker count used.
-// Any partitioning yields the identical Result (see the file comment),
-// so the thread count is purely a latency knob.
+// Join builds run first, once and serially; the workers then probe them
+// read-only. Any partitioning yields the identical Result (see the file
+// comment), so the thread count is purely a latency knob.
 func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 	maxw := (p.rows + fastChunk - 1) / fastChunk
 	if threads > maxw {
@@ -244,11 +328,12 @@ func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 	if threads < 1 {
 		threads = 1
 	}
+	hs := p.build()
 	if threads == 1 {
-		w := p.worker()
+		w := p.worker(hs)
 		w.run(0, p.rows)
 		res := FinalizeProbed(nil, p.pl, []*Partial{w.partial()})
-		p.pool.Put(w)
+		p.release(hs, w)
 		return res, 1
 	}
 	workers := make([]*fastWorker, threads)
@@ -279,7 +364,7 @@ func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 					panicOnce.Do(func() { panicked = r })
 				}
 			}()
-			w := p.worker()
+			w := p.worker(hs)
 			w.run(lo, hi)
 			workers[t] = w
 			parts[t] = w.partial()
@@ -290,25 +375,128 @@ func (p *FastPlan) Execute(threads int) (engine.Result, int) {
 		panic(panicked)
 	}
 	res := FinalizeProbed(nil, p.pl, parts)
-	for _, w := range workers {
-		if w != nil {
-			p.pool.Put(w)
-		}
-	}
+	p.release(hs, workers...)
 	return res, threads
 }
 
-// worker takes a pooled worker (reset) or builds a fresh one.
-func (p *FastPlan) worker() *fastWorker {
+// release returns an execution's build tables and workers to the
+// pools once finalize has consumed their state.
+func (p *FastPlan) release(hs *fastBuild, workers ...*fastWorker) {
+	for _, w := range workers {
+		if w != nil {
+			w.hs = nil
+			p.pool.Put(w)
+		}
+	}
+	if hs != nil {
+		p.builds.Put(hs)
+	}
+}
+
+// fastBuild is one execution's join build tables, one per join.
+type fastBuild struct {
+	tabs []fastHash
+}
+
+// fastHash is one join's chained hash table over the filtered build
+// rows: head maps a bucket to its first entry + 1 (0 marks empty), and
+// each entry carries its build key, build-table row and successor, so a
+// chain step is one random access.
+type fastHash struct {
+	shift uint
+	head  []int32
+	ents  []fastEntry
+}
+
+type fastEntry struct {
+	key  int64
+	row  int32
+	next int32 // entry index + 1; 0 ends the chain
+}
+
+// build runs every join's build phase serially on a pooled worker's
+// scratch, into pooled tables; it returns nil for a join-free plan.
+func (p *FastPlan) build() *fastBuild {
+	if len(p.joins) == 0 {
+		return nil
+	}
+	hs, _ := p.builds.Get().(*fastBuild)
+	if hs == nil {
+		hs = &fastBuild{tabs: make([]fastHash, len(p.joins))}
+	}
+	w := p.worker(nil)
+	for ji := range p.joins {
+		hs.tabs[ji].build(w, &p.joins[ji])
+	}
+	p.pool.Put(w)
+	return hs
+}
+
+// build filters the build table chunk by chunk, hashes the survivors'
+// keys and links them into power-of-two buckets (at least one per
+// entry). Entries keep build-row order; chains run newest first.
+func (h *fastHash) build(w *fastWorker, j *fastJoin) {
+	h.ents = h.ents[:0]
+	for lo := 0; lo < j.rows; lo += fastChunk {
+		sel := j.filter.run(w, lo, min(lo+fastChunk, j.rows))
+		if len(sel) == 0 {
+			continue
+		}
+		w.tv[j.build] = sel
+		keys := w.val[:len(sel)]
+		j.buildKey(w, w.tv, keys)
+		for i, r := range sel {
+			h.ents = append(h.ents, fastEntry{key: keys[i], row: r})
+		}
+	}
+	size, shift := 1, uint(64)
+	for size < len(h.ents) {
+		size <<= 1
+		shift--
+	}
+	if cap(h.head) < size {
+		h.head = make([]int32, size)
+	} else {
+		h.head = h.head[:size]
+		clear(h.head)
+	}
+	h.shift = shift
+	for e := range h.ents {
+		b := uint64(h.ents[e].key) * fastHashMul >> shift
+		h.ents[e].next = h.head[b]
+		h.head[b] = int32(e) + 1
+	}
+}
+
+// worker takes a pooled worker (reset) or builds a fresh one, bound to
+// this execution's join builds.
+func (p *FastPlan) worker(hs *fastBuild) *fastWorker {
 	if w, ok := p.pool.Get().(*fastWorker); ok {
 		w.reset()
+		w.hs = hs
 		return w
 	}
 	w := &fastWorker{
 		p:      p,
+		hs:     hs,
 		selBuf: make([]int32, fastChunk),
 		val:    make([]int64, fastChunk),
 		scalar: make([]int64, len(p.aggs)),
+		tv:     make([][]int32, len(p.pl.Tables)),
+		stages: make([]joinStage, len(p.joins)),
+	}
+	for ji := range p.joins {
+		j := &p.joins[ji]
+		st := &w.stages[ji]
+		st.keys = make([]int64, fastChunk)
+		st.heads = make([]int32, fastChunk)
+		st.src = make([]int32, fastChunk)
+		st.out = make([][]int32, len(p.pl.Tables))
+		st.batch = make([][]int32, len(p.pl.Tables))
+		for _, t := range j.carry {
+			st.out[t] = make([]int32, fastChunk)
+		}
+		st.out[j.build] = make([]int32, fastChunk)
 	}
 	switch {
 	case p.fused != nil:
@@ -346,6 +534,7 @@ func (p *FastPlan) worker() *fastWorker {
 // exactly like an engine worker's partial.
 type fastWorker struct {
 	p       *FastPlan
+	hs      *fastBuild // the execution's join builds, shared read-only
 	selBuf  []int32
 	slots   []int32
 	mix     []int64
@@ -355,6 +544,10 @@ type fastWorker struct {
 	groups  fastGroups
 	scalar  []int64
 	matched int64
+	// tv holds the row vectors a driver batch (or a filter's kernels)
+	// reads, one per table; stages holds each join's probe buffers.
+	tv     [][]int32
+	stages []joinStage
 	// denseTab direct-indexes packed byte keys to group index + 1;
 	// touched lists the occupied codes so reset is proportional to the
 	// group count, not the table size.
@@ -366,6 +559,17 @@ type fastWorker struct {
 	fAcc     [][]int64
 	fSeen    []byte
 	fTouched []int32
+}
+
+// joinStage is one join's probe buffers: the input batch's keys and
+// gathered chain heads, each match's input position, and the output
+// row vectors (out, full-size) with their current batch views.
+type joinStage struct {
+	keys  []int64
+	heads []int32
+	src   []int32
+	out   [][]int32
+	batch [][]int32
 }
 
 func (w *fastWorker) reset() {
@@ -397,7 +601,7 @@ func (w *fastWorker) resetScalars() {
 }
 
 // run scans driver rows [start, end) chunk by chunk: filter to a
-// selection vector, then fold the survivors.
+// selection vector, then probe the joins and fold the survivors.
 func (w *fastWorker) run(start, end int) {
 	p := w.p
 	if p.fused != nil {
@@ -405,79 +609,126 @@ func (w *fastWorker) run(start, end int) {
 		return
 	}
 	for lo := start; lo < end; lo += fastChunk {
-		hi := lo + fastChunk
-		if hi > end {
-			hi = end
-		}
-		var sel []int32
-		if p.filter0 != nil {
-			sel = p.filter0(int32(lo), int32(hi), w.selBuf)
-		} else {
-			sel = w.selBuf[:hi-lo]
-			for i := range sel {
-				sel[i] = int32(lo + i)
-			}
-		}
-		for _, f := range p.filter {
-			if len(sel) == 0 {
-				break
-			}
-			sel = f(w, sel)
-		}
+		sel := p.filter.run(w, lo, min(lo+fastChunk, end))
 		if len(sel) == 0 {
 			continue
 		}
-		w.matched += int64(len(sel))
-		if p.grouped {
-			w.foldGroups(sel)
-		} else {
-			w.foldScalar(sel)
-		}
+		w.tv[0] = sel
+		w.emit(0, w.tv)
 	}
 }
 
-// foldScalar accumulates one chunk's selected rows into the scalar
-// aggregates.
-func (w *fastWorker) foldScalar(sel []int32) {
-	n := len(sel)
+// emit hands a batch to join ji, or folds it once every join has
+// matched. Every row vector of a batch has the batch's length.
+func (w *fastWorker) emit(ji int, rows [][]int32) {
+	if ji < len(w.p.joins) {
+		w.probe(ji, rows)
+		return
+	}
+	w.matched += int64(len(rows[0]))
+	if w.p.grouped {
+		w.foldGroups(rows)
+	} else {
+		w.foldScalar(rows)
+	}
+}
+
+// probe joins one batch against join ji's build table the Tectorwise
+// way: hash every probe key, gather every chain head, then walk the
+// chains comparing keys. Each match records its input position and
+// build row; a duplicate build key expands one input row into several
+// matches, and a batch that fills up passes downstream before the walk
+// resumes, so no batch exceeds fastChunk rows.
+func (w *fastWorker) probe(ji int, in [][]int32) {
+	n := len(in[0])
+	st := &w.stages[ji]
+	h := &w.hs.tabs[ji]
+	keys := st.keys[:n]
+	w.p.joins[ji].probeKey(w, in, keys)
+	heads := st.heads[:n]
+	head, shift := h.head, h.shift
+	for i, k := range keys {
+		heads[i] = head[uint64(k)*fastHashMul>>shift]
+	}
+	ents := h.ents
+	src, brow := st.src, st.out[w.p.joins[ji].build]
+	m := 0
+	for i, e := range heads {
+		for e != 0 {
+			en := &ents[e-1]
+			if en.key == keys[i] {
+				src[m] = int32(i)
+				brow[m] = en.row
+				m++
+				if m == fastChunk {
+					w.flush(ji, in, m)
+					m = 0
+				}
+			}
+			e = en.next
+		}
+	}
+	if m > 0 {
+		w.flush(ji, in, m)
+	}
+}
+
+// flush gathers the carried tables' rows of join ji's m pending matches
+// into the output vectors and passes the batch downstream.
+func (w *fastWorker) flush(ji int, in [][]int32, m int) {
+	j := &w.p.joins[ji]
+	st := &w.stages[ji]
+	src := st.src[:m]
+	for _, t := range j.carry {
+		from, to := in[t], st.out[t][:m]
+		for x, i := range src {
+			to[x] = from[i]
+		}
+		st.batch[t] = to
+	}
+	st.batch[j.build] = st.out[j.build][:m]
+	w.emit(ji+1, st.batch)
+}
+
+// foldScalar accumulates one batch into the scalar aggregates.
+func (w *fastWorker) foldScalar(rows [][]int32) {
+	n := len(rows[0])
 	for ai := range w.p.aggs {
 		a := &w.p.aggs[ai]
 		switch {
 		case a.kind == AggCount:
 			w.scalar[ai] += int64(n)
 		case a.i64 != nil:
-			w.scalar[ai] = foldDirect(a.kind, w.scalar[ai], a.i64, sel)
+			w.scalar[ai] = foldDirect(a.kind, w.scalar[ai], a.i64, rows[a.tab])
 		case a.i8 != nil:
-			w.scalar[ai] = foldDirect(a.kind, w.scalar[ai], a.i8, sel)
+			w.scalar[ai] = foldDirect(a.kind, w.scalar[ai], a.i8, rows[a.tab])
 		default:
 			vals := w.val[:n]
-			a.arg(w, sel, vals)
+			a.arg(w, rows, vals)
 			w.scalar[ai] = foldVals(a.kind, w.scalar[ai], vals)
 		}
 	}
 }
 
-// foldGroups resolves one chunk's selected rows to group slots and
-// folds every aggregate column-at-a-time.
-func (w *fastWorker) foldGroups(sel []int32) {
-	p := w.p
-	n := len(sel)
-	slots := w.slots[:n]
-	if p.dense != nil {
-		w.denseSlots(sel, slots)
+// foldGroups resolves one batch to group slots and folds every
+// aggregate column-at-a-time.
+func (w *fastWorker) foldGroups(rows [][]int32) {
+	slots := w.slots[:len(rows[0])]
+	if w.p.dense != nil {
+		w.denseSlots(rows, slots)
 	} else {
-		w.hashSlots(sel, slots)
+		w.hashSlots(rows, slots)
 	}
-	w.foldGroupAggs(sel, slots)
+	w.foldGroupAggs(rows, slots)
 }
 
 // hashSlots resolves rows to group slots through the open-addressing
 // table on the mixed key.
-func (w *fastWorker) hashSlots(sel, slots []int32) {
+func (w *fastWorker) hashSlots(rows [][]int32, slots []int32) {
 	p := w.p
-	n := len(sel)
+	n := len(slots)
 	for k := range p.keys {
-		p.keys[k](w, sel, w.keyBufs[k][:n])
+		p.keys[k](w, rows, w.keyBufs[k][:n])
 	}
 	// The same mixed key GroupKey folds, vectorized over the chunk.
 	mix := w.mix[:n]
@@ -496,13 +747,13 @@ func (w *fastWorker) hashSlots(sel, slots []int32) {
 
 // denseSlots resolves rows to group slots by direct-indexing the
 // packed byte keys — a load and a test per row, no hashing.
-func (w *fastWorker) denseSlots(sel, slots []int32) {
+func (w *fastWorker) denseSlots(rows [][]int32, slots []int32) {
 	d := w.p.dense
 	g := &w.groups
 	tab := w.denseTab
-	k0 := d.k0
+	k0, r0 := d.k0, rows[d.t0]
 	if d.k1 == nil {
-		for i, r := range sel {
+		for i, r := range r0 {
 			c := int32(k0[r])
 			t := tab[c]
 			if t == 0 {
@@ -514,12 +765,12 @@ func (w *fastWorker) denseSlots(sel, slots []int32) {
 		}
 		return
 	}
-	k1 := d.k1
-	for i, r := range sel {
-		c := int32(k0[r]) | int32(k1[r])<<8
+	k1, r1 := d.k1, rows[d.t1]
+	for i, r := range r0 {
+		c := int32(k0[r]) | int32(k1[r1[i]])<<8
 		t := tab[c]
 		if t == 0 {
-			t = g.denseInsert(int64(k0[r]), int64(k1[r]))
+			t = g.denseInsert(int64(k0[r]), int64(k1[r1[i]]))
 			tab[c] = t
 			w.touched = append(w.touched, c)
 		}
@@ -527,10 +778,9 @@ func (w *fastWorker) denseSlots(sel, slots []int32) {
 	}
 }
 
-// foldGroupAggs folds every aggregate over the chunk's resolved slots.
-func (w *fastWorker) foldGroupAggs(sel, slots []int32) {
+// foldGroupAggs folds every aggregate over the batch's resolved slots.
+func (w *fastWorker) foldGroupAggs(rows [][]int32, slots []int32) {
 	p := w.p
-	n := len(sel)
 	for ai := range p.aggs {
 		a := &p.aggs[ai]
 		acc := w.groups.acc[ai]
@@ -540,12 +790,12 @@ func (w *fastWorker) foldGroupAggs(sel, slots []int32) {
 				acc[s]++
 			}
 		case a.i64 != nil:
-			foldGroupDirect(a.kind, acc, a.i64, sel, slots)
+			foldGroupDirect(a.kind, acc, a.i64, rows[a.tab], slots)
 		case a.i8 != nil:
-			foldGroupDirect(a.kind, acc, a.i8, sel, slots)
+			foldGroupDirect(a.kind, acc, a.i8, rows[a.tab], slots)
 		default:
-			vals := w.val[:n]
-			a.arg(w, sel, vals)
+			vals := w.val[:len(slots)]
+			a.arg(w, rows, vals)
 			foldGroupVals(a.kind, acc, vals, slots)
 		}
 	}
@@ -885,6 +1135,10 @@ type fastCompiler struct {
 	b     *Bound
 	nbufs int
 	ok    bool
+	// allowed is the bit set of tables the expressions being compiled
+	// may read: a filter reads its own table, a probe key the tables
+	// joined before it. A column leaf outside it fails the compile.
+	allowed uint64
 	// stats caches each filtered column's observed min/max, keyed by
 	// the column's backing array (stable for a bound catalog).
 	stats map[*int64][2]int64
@@ -897,15 +1151,17 @@ func (fc *fastCompiler) buf() int {
 }
 
 // fexpr is a compiled expression with its specialization facets: a
-// constant, a bare column (either width), or a general kernel. Parents
-// fuse on the facets so the common shapes — column-op-constant,
-// column-op-column — evaluate in one pass with no scratch.
+// constant, a bare column (either width) of table tab, or a general
+// kernel. Parents fuse on the facets so the common shapes —
+// column-op-constant, column-op-column of one table — evaluate in one
+// pass with no scratch.
 type fexpr struct {
 	eval vecKernel
 	con  bool
 	conV int64
 	i64  []int64
 	i8   []byte
+	tab  int
 }
 
 // kernel materializes an fexpr into a plain evaluation kernel.
@@ -913,22 +1169,22 @@ func (fc *fastCompiler) kernel(e fexpr) vecKernel {
 	switch {
 	case e.con:
 		c := e.conV
-		return func(w *fastWorker, rows []int32, out []int64) {
-			for i := range rows {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
+			for i := range out {
 				out[i] = c
 			}
 		}
 	case e.i64 != nil:
-		v := e.i64
-		return func(w *fastWorker, rows []int32, out []int64) {
-			for i, r := range rows {
+		v, t := e.i64, e.tab
+		return func(w *fastWorker, rows [][]int32, out []int64) {
+			for i, r := range rows[t] {
 				out[i] = v[r]
 			}
 		}
 	case e.i8 != nil:
-		v := e.i8
-		return func(w *fastWorker, rows []int32, out []int64) {
-			for i, r := range rows {
+		v, t := e.i8, e.tab
+		return func(w *fastWorker, rows [][]int32, out []int64) {
+			for i, r := range rows[t] {
 				out[i] = int64(v[r])
 			}
 		}
@@ -941,15 +1197,15 @@ func (fc *fastCompiler) expr(e *Expr) fexpr {
 	case OpConst:
 		return fexpr{con: true, conV: e.Val}
 	case OpCol:
-		if e.Tab != 0 {
+		if e.Tab < 0 || e.Tab >= 64 || fc.allowed>>e.Tab&1 == 0 {
 			fc.ok = false
 			return fexpr{con: true}
 		}
-		c := fc.b.Tables[0][e.Col]
+		c := fc.b.Tables[e.Tab][e.Col]
 		if c.Kind == I8 {
-			return fexpr{i8: c.I8.V}
+			return fexpr{i8: c.I8.V, tab: e.Tab}
 		}
-		return fexpr{i64: c.I64.V}
+		return fexpr{i64: c.I64.V, tab: e.Tab}
 	}
 	l, r := fc.expr(e.L), fc.expr(e.R)
 	if l.con && r.con {
@@ -965,53 +1221,58 @@ func (fc *fastCompiler) expr(e *Expr) fexpr {
 	if l.con {
 		return fexpr{eval: opConstLeft(e.Op, l.conV, fc.kernel(r))}
 	}
-	if (l.i64 != nil || l.i8 != nil) && (r.i64 != nil || r.i8 != nil) {
+	if (l.i64 != nil || l.i8 != nil) && (r.i64 != nil || r.i8 != nil) && l.tab == r.tab {
 		return fexpr{eval: colColKernel(e.Op, l, r)}
 	}
 	return fexpr{eval: opGeneral(e.Op, fc.kernel(l), fc.kernel(r), fc.buf())}
 }
 
-// colColKernel fuses <column> op <column>: the two gathers and the
-// arithmetic run in one pass with no scratch buffer.
+// colColKernel fuses <column> op <column> over one table: the two
+// gathers and the arithmetic run in one pass with no scratch buffer.
 func colColKernel(op ExprOp, l, r fexpr) vecKernel {
 	switch {
 	case l.i64 != nil && r.i64 != nil:
-		return opColCol(op, l.i64, r.i64)
+		return opColCol(op, l.tab, l.i64, r.i64)
 	case l.i64 != nil:
-		return opColCol(op, l.i64, r.i8)
+		return opColCol(op, l.tab, l.i64, r.i8)
 	case r.i64 != nil:
-		return opColCol(op, l.i8, r.i64)
+		return opColCol(op, l.tab, l.i8, r.i64)
 	default:
-		return opColCol(op, l.i8, r.i8)
+		return opColCol(op, l.tab, l.i8, r.i8)
 	}
 }
 
-// opColCol is the width-specialized fused column-pair kernel.
-func opColCol[TL int64 | byte, TR int64 | byte](op ExprOp, lv []TL, rv []TR) vecKernel {
+// opColCol is the width-specialized fused column-pair kernel over
+// table t's row vector.
+func opColCol[TL int64 | byte, TR int64 | byte](op ExprOp, t int, lv []TL, rv []TR) vecKernel {
 	switch op {
 	case OpAdd:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, tv [][]int32, out []int64) {
+			rows := tv[t]
 			out = out[:len(rows)]
 			for i, r := range rows {
 				out[i] = int64(lv[r]) + int64(rv[r])
 			}
 		}
 	case OpSub:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, tv [][]int32, out []int64) {
+			rows := tv[t]
 			out = out[:len(rows)]
 			for i, r := range rows {
 				out[i] = int64(lv[r]) - int64(rv[r])
 			}
 		}
 	case OpMul:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, tv [][]int32, out []int64) {
+			rows := tv[t]
 			out = out[:len(rows)]
 			for i, r := range rows {
 				out[i] = int64(lv[r]) * int64(rv[r])
 			}
 		}
 	default: // OpDiv
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, tv [][]int32, out []int64) {
+			rows := tv[t]
 			out = out[:len(rows)]
 			for i, r := range rows {
 				d := int64(rv[r])
@@ -1048,21 +1309,21 @@ func applyOp(op ExprOp, l, r int64) int64 {
 func opConstRight(op ExprOp, inner vecKernel, c int64) vecKernel {
 	switch op {
 	case OpAdd:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
 			inner(w, rows, out)
 			for i := range out {
 				out[i] += c
 			}
 		}
 	case OpSub:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
 			inner(w, rows, out)
 			for i := range out {
 				out[i] -= c
 			}
 		}
 	case OpMul:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
 			inner(w, rows, out)
 			for i := range out {
 				out[i] *= c
@@ -1080,7 +1341,7 @@ func opConstRight(op ExprOp, inner vecKernel, c int64) vecKernel {
 			} else if c < 0 && m > 0 {
 				adj = -1
 			}
-			return func(w *fastWorker, rows []int32, out []int64) {
+			return func(w *fastWorker, rows [][]int32, out []int64) {
 				inner(w, rows, out)
 				for i, n := range out {
 					q := mulHi(m, n) + n*adj
@@ -1089,7 +1350,7 @@ func opConstRight(op ExprOp, inner vecKernel, c int64) vecKernel {
 				}
 			}
 		}
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
 			inner(w, rows, out)
 			for i := range out {
 				out[i] /= c
@@ -1149,28 +1410,28 @@ func divMagic(d int64) (m int64, s uint) {
 func opConstLeft(op ExprOp, c int64, inner vecKernel) vecKernel {
 	switch op {
 	case OpAdd:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
 			inner(w, rows, out)
 			for i := range out {
 				out[i] = c + out[i]
 			}
 		}
 	case OpSub:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
 			inner(w, rows, out)
 			for i := range out {
 				out[i] = c - out[i]
 			}
 		}
 	case OpMul:
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
 			inner(w, rows, out)
 			for i := range out {
 				out[i] = c * out[i]
 			}
 		}
 	default: // OpDiv
-		return func(w *fastWorker, rows []int32, out []int64) {
+		return func(w *fastWorker, rows [][]int32, out []int64) {
 			inner(w, rows, out)
 			for i := range out {
 				if out[i] == 0 {
@@ -1188,8 +1449,8 @@ func opConstLeft(op ExprOp, c int64, inner vecKernel) vecKernel {
 func opGeneral(op ExprOp, lk, rk vecKernel, sb int) vecKernel {
 	switch op {
 	case OpAdd:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			t := w.scratch[sb][:len(rows)]
+		return func(w *fastWorker, rows [][]int32, out []int64) {
+			t := w.scratch[sb][:len(out)]
 			rk(w, rows, t)
 			lk(w, rows, out)
 			for i := range out {
@@ -1197,8 +1458,8 @@ func opGeneral(op ExprOp, lk, rk vecKernel, sb int) vecKernel {
 			}
 		}
 	case OpSub:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			t := w.scratch[sb][:len(rows)]
+		return func(w *fastWorker, rows [][]int32, out []int64) {
+			t := w.scratch[sb][:len(out)]
 			rk(w, rows, t)
 			lk(w, rows, out)
 			for i := range out {
@@ -1206,8 +1467,8 @@ func opGeneral(op ExprOp, lk, rk vecKernel, sb int) vecKernel {
 			}
 		}
 	case OpMul:
-		return func(w *fastWorker, rows []int32, out []int64) {
-			t := w.scratch[sb][:len(rows)]
+		return func(w *fastWorker, rows [][]int32, out []int64) {
+			t := w.scratch[sb][:len(out)]
 			rk(w, rows, t)
 			lk(w, rows, out)
 			for i := range out {
@@ -1215,8 +1476,8 @@ func opGeneral(op ExprOp, lk, rk vecKernel, sb int) vecKernel {
 			}
 		}
 	default: // OpDiv
-		return func(w *fastWorker, rows []int32, out []int64) {
-			t := w.scratch[sb][:len(rows)]
+		return func(w *fastWorker, rows [][]int32, out []int64) {
+			t := w.scratch[sb][:len(out)]
 			rk(w, rows, t)
 			lk(w, rows, out)
 			for i := range out {
@@ -1373,9 +1634,9 @@ func (fc *fastCompiler) spanCond(p *Pred) (spanCond, condStatus) {
 // pred normalizes a filter: every column-versus-constant conjunct
 // becomes a spanCond (sorted by estimated selectivity, cheapest-first —
 // AND commutes, so any order yields the same row set), computed
-// conjuncts become sel kernels, and never reports a conjunct no present
-// value satisfies.
-func (fc *fastCompiler) pred(p *Pred) (conds []spanCond, rest []selKernel, never bool) {
+// conjuncts become sel kernels over table tab's rows, and never reports
+// a conjunct no present value satisfies.
+func (fc *fastCompiler) pred(p *Pred, tab int) (conds []spanCond, rest []selKernel, never bool) {
 	if p == nil {
 		return nil, nil, false
 	}
@@ -1389,20 +1650,24 @@ func (fc *fastCompiler) pred(p *Pred) (conds []spanCond, rest []selKernel, never
 		case condAlways:
 			// vacuously true on this data: contributes nothing
 		default:
-			rest = append(rest, fc.sel(c))
+			rest = append(rest, fc.sel(c, tab))
 		}
 	}
 	sort.SliceStable(conds, func(i, j int) bool { return conds[i].est < conds[j].est })
 	return conds, rest, false
 }
 
-// stageSpans lowers normalized conjuncts to the staged executor form:
-// the most selective spanCond runs as the full range scan, the others
-// as gathered tests over the already-shrunk selection, and computed
-// conjuncts — the expensive shapes — refine last.
-func stageSpans(conds []spanCond, rest []selKernel) (rangeSelKernel, []selKernel) {
+// stageSpans lowers a normalized filter (pred's results) to the staged
+// executor form: the most selective spanCond runs as the full range
+// scan, the others as gathered tests over the already-shrunk
+// selection, and computed conjuncts — the expensive shapes — refine
+// last. A never-matching filter scans nothing.
+func stageSpans(conds []spanCond, rest []selKernel, never bool) fastFilter {
+	if never {
+		return fastFilter{first: neverMatch}
+	}
 	if len(conds) == 0 {
-		return nil, rest
+		return fastFilter{rest: rest}
 	}
 	kernels := make([]selKernel, 0, len(conds)-1+len(rest))
 	for _, c := range conds[1:] {
@@ -1415,9 +1680,9 @@ func stageSpans(conds []spanCond, rest []selKernel) (rangeSelKernel, []selKernel
 	kernels = append(kernels, rest...)
 	c := conds[0]
 	if c.v64 != nil {
-		return fuse1(c.v64, c), kernels
+		return fastFilter{first: fuse1(c.v64, c), rest: kernels}
 	}
-	return fuse1(c.v8, c), kernels
+	return fastFilter{first: fuse1(c.v8, c), rest: kernels}
 }
 
 // neverMatch is the range kernel of an unsatisfiable filter.
@@ -1476,7 +1741,8 @@ func gatherSpan[T int64 | byte](v []T, c spanCond) selKernel {
 }
 
 // sel compiles one conjunct into a selection-refining kernel.
-func (fc *fastCompiler) sel(p *Pred) selKernel {
+// Its expression kernels read the selection as table tab's row vector.
+func (fc *fastCompiler) sel(p *Pred, tab int) selKernel {
 	switch p.Op {
 	case PredCmp:
 		a, b := fc.expr(p.A), fc.expr(p.B)
@@ -1494,8 +1760,9 @@ func (fc *fastCompiler) sel(p *Pred) selKernel {
 		return func(w *fastWorker, rows []int32) []int32 {
 			n := len(rows)
 			av, bv := w.scratch[ia][:n], w.scratch[ib][:n]
-			ka(w, rows, av)
-			kb(w, rows, bv)
+			w.tv[tab] = rows
+			ka(w, w.tv, av)
+			kb(w, w.tv, bv)
 			m := 0
 			for i := 0; i < n; i++ {
 				rows[m] = rows[i]
@@ -1512,9 +1779,10 @@ func (fc *fastCompiler) sel(p *Pred) selKernel {
 		return func(w *fastWorker, rows []int32) []int32 {
 			n := len(rows)
 			xv, lv, hv := w.scratch[ix][:n], w.scratch[il][:n], w.scratch[ih][:n]
-			kx(w, rows, xv)
-			kl(w, rows, lv)
-			kh(w, rows, hv)
+			w.tv[tab] = rows
+			kx(w, w.tv, xv)
+			kl(w, w.tv, lv)
+			kh(w, w.tv, hv)
 			m := 0
 			for i := 0; i < n; i++ {
 				rows[m] = rows[i]

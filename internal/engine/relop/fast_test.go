@@ -17,21 +17,32 @@ type fastCol struct {
 	i8   []byte
 }
 
-// fastFixture builds a single-table pipeline input over the columns.
-func fastFixture(rows int, cols ...fastCol) (TableRef, *Bound) {
+// fastTable is one synthetic pipeline table: its ref and bound columns.
+type fastTable struct {
+	ref  TableRef
+	cols []Col
+}
+
+// newFastTable binds the columns as table name.
+func newFastTable(name string, rows int, cols ...fastCol) fastTable {
 	as := probe.NewAddrSpace()
-	tr := TableRef{Name: "t", Rows: rows}
-	var bound []Col
+	t := fastTable{ref: TableRef{Name: name, Rows: rows}}
 	for _, c := range cols {
 		if c.i64 != nil {
-			tr.Cols = append(tr.Cols, ColSpec{Name: c.name, Kind: I64})
-			bound = append(bound, Col{Kind: I64, I64: storage.NewColI64(as, "t."+c.name, c.i64)})
+			t.ref.Cols = append(t.ref.Cols, ColSpec{Name: c.name, Kind: I64})
+			t.cols = append(t.cols, Col{Kind: I64, I64: storage.NewColI64(as, name+"."+c.name, c.i64)})
 		} else {
-			tr.Cols = append(tr.Cols, ColSpec{Name: c.name, Kind: I8})
-			bound = append(bound, Col{Kind: I8, I8: storage.NewColI8(as, "t."+c.name, c.i8)})
+			t.ref.Cols = append(t.ref.Cols, ColSpec{Name: c.name, Kind: I8})
+			t.cols = append(t.cols, Col{Kind: I8, I8: storage.NewColI8(as, name+"."+c.name, c.i8)})
 		}
 	}
-	return tr, &Bound{Tables: [][]Col{bound}}
+	return t
+}
+
+// fastFixture builds a single-table pipeline input over the columns.
+func fastFixture(rows int, cols ...fastCol) (TableRef, *Bound) {
+	t := newFastTable("t", rows, cols...)
+	return t.ref, &Bound{Tables: [][]Col{t.cols}}
 }
 
 // aggSeed mirrors the executors' fold identities.
@@ -65,7 +76,8 @@ func naiveFold(k AggKind, acc, v int64) int64 {
 }
 
 // naiveResult executes the pipeline row-at-a-time through the plan
-// tree's own Eval methods and finalizes the single partial — the
+// tree's own Eval methods — joins as nested loops over every build row
+// that passes its filter — and finalizes the single partial: the
 // reference every fast execution must match bit-for-bit.
 func naiveResult(pl *Pipeline, b *Bound) engine.Result {
 	part := &Partial{Scalar: make([]int64, len(pl.Aggs))}
@@ -78,12 +90,8 @@ func naiveResult(pl *Pipeline, b *Bound) engine.Result {
 		part.Scalar = nil
 	}
 	seen := map[string]int{}
-	rows := []int{0}
-	for r := 0; r < pl.Tables[0].Rows; r++ {
-		rows[0] = r
-		if pl.Filter != nil && !pl.Filter.Eval(b, rows) {
-			continue
-		}
+	rows := make([]int, len(pl.Tables))
+	fold := func() {
 		part.Matched++
 		if !grouped {
 			for ai, a := range pl.Aggs {
@@ -93,7 +101,7 @@ func naiveResult(pl *Pipeline, b *Bound) engine.Result {
 				}
 				part.Scalar[ai] = naiveFold(a.Kind, part.Scalar[ai], v)
 			}
-			continue
+			return
 		}
 		tuple := make([]int64, len(pl.GroupBy))
 		for k, g := range pl.GroupBy {
@@ -116,6 +124,31 @@ func naiveResult(pl *Pipeline, b *Bound) engine.Result {
 			part.Aggs[ai][gi] = naiveFold(a.Kind, part.Aggs[ai][gi], v)
 		}
 	}
+	var join func(ji int)
+	join = func(ji int) {
+		if ji == len(pl.Joins) {
+			fold()
+			return
+		}
+		j := pl.Joins[ji]
+		key := j.ProbeKey.Eval(b, rows)
+		for r := 0; r < pl.Tables[j.Build].Rows; r++ {
+			rows[j.Build] = r
+			if j.BuildFilter != nil && !j.BuildFilter.Eval(b, rows) {
+				continue
+			}
+			if j.BuildKey.Eval(b, rows) == key {
+				join(ji + 1)
+			}
+		}
+	}
+	for r := 0; r < pl.Tables[0].Rows; r++ {
+		rows[0] = r
+		if pl.Filter != nil && !pl.Filter.Eval(b, rows) {
+			continue
+		}
+		join(0)
+	}
 	return FinalizeProbed(nil, pl, []*Partial{part})
 }
 
@@ -131,9 +164,13 @@ func and(l, r *Pred) *Pred { return &Pred{Op: PredAnd, L: l, R: r} }
 // normalization with data-dependent clamping (never/always/point
 // ranges), staged filters with computed-conjunct remainders, magic
 // division, dense fused grouping, hash grouping with table growth —
-// and requires every one to finalize bit-identically to the row-at-a-
-// time reference at several thread counts, including counts that do
-// not divide the row count.
+// plus the join shapes of the vectorized hash join: duplicate build
+// keys, a build filter that empties the build side, a two-join chain
+// probing on a build payload column, group keys and aggregates over
+// build columns, and duplicate expansion past one batch. Every one
+// must finalize bit-identically to the row-at-a-time (nested-loop)
+// reference at several thread counts, including counts that do not
+// divide the row count.
 func TestFastPlanMatchesNaive(t *testing.T) {
 	const rows = 2500 // not a chunk multiple: exercises the ragged tail
 	rng := rand.New(rand.NewSource(42))
@@ -153,20 +190,64 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 	}
 	w64[7] = math.MinInt64 + 1
 	w64[11] = math.MaxInt64 - 1
-	tr, bound := fastFixture(rows,
+	driver := newFastTable("t", rows,
 		fastCol{name: "a", i64: a64}, fastCol{name: "b", i64: b64},
 		fastCol{name: "f", i8: f8}, fastCol{name: "g", i8: g8},
 		fastCol{name: "w", i64: w64}, fastCol{name: "k", i64: k64})
 	const (
 		colA, colB, colF, colG, colW, colK = 0, 1, 2, 3, 4, 5
 	)
+
+	// Build sides. dim has ~3 rows per key over the driver's a+50 range
+	// and a foreign key de into ext, some of it dangling; ext's keys are
+	// unique; many has 20 rows on each of keys 0 and 1, so a driver
+	// chunk probing it on f expands far past one batch.
+	const dimRows, extRows, manyRows = 300, 60, 40
+	dk, dv, de := make([]int64, dimRows), make([]int64, dimRows), make([]int64, dimRows)
+	dg := make([]byte, dimRows)
+	for i := range dk {
+		dk[i] = rng.Int63n(100)
+		dv[i] = rng.Int63n(2001) - 1000
+		de[i] = rng.Int63n(70)
+		dg[i] = byte(rng.Intn(5))
+	}
+	ek, ev := make([]int64, extRows), make([]int64, extRows)
+	eg := make([]byte, extRows)
+	for i := range ek {
+		ek[i] = int64(i)
+		ev[i] = rng.Int63n(1_000_000)
+		eg[i] = byte(rng.Intn(4))
+	}
+	mk, mv := make([]int64, manyRows), make([]int64, manyRows)
+	for i := range mk {
+		mk[i] = int64(i % 2)
+		mv[i] = int64(i)
+	}
+	dim := newFastTable("d", dimRows, fastCol{name: "dk", i64: dk}, fastCol{name: "dv", i64: dv},
+		fastCol{name: "de", i64: de}, fastCol{name: "dg", i8: dg})
+	ext := newFastTable("e", extRows, fastCol{name: "ek", i64: ek}, fastCol{name: "ev", i64: ev},
+		fastCol{name: "eg", i8: eg})
+	many := newFastTable("m", manyRows, fastCol{name: "mk", i64: mk}, fastCol{name: "mv", i64: mv})
+	const (
+		colDK, colDV, colDE, colDG = 0, 1, 2, 3
+		colEK, colEV, colEG        = 0, 1, 2
+		colMK, colMV               = 0, 1
+	)
+	// dimJoin joins dim as pipeline table 1 on dk = a + 50.
+	dimJoin := func(filter *Pred) Join {
+		return Join{Build: 1, BuildKey: ColExpr(1, colDK),
+			ProbeKey: Bin(OpAdd, ColExpr(0, colA), ConstExpr(50)), BuildFilter: filter}
+	}
+	withDim := []fastTable{driver, dim}
+
 	sumA := Agg{Kind: AggSum, Arg: ColExpr(0, colA)}
 	count := Agg{Kind: AggCount}
 
 	cases := []struct {
-		name  string
-		pl    *Pipeline
-		fused bool // expect the one-pass dense executor
+		name   string
+		tables []fastTable // nil: the driver alone
+		pl     *Pipeline
+		fused  bool // expect the one-pass dense executor
 	}{
 		{name: "scalar all aggs, between filter", pl: &Pipeline{
 			Filter: &Pred{Op: PredBetween, A: ColExpr(0, colA), B: ConstExpr(-10), C: ConstExpr(20)},
@@ -250,19 +331,80 @@ func TestFastPlanMatchesNaive(t *testing.T) {
 			GroupBy: []*Expr{Bin(OpAdd, ColExpr(0, colF), ConstExpr(100))},
 			Aggs:    []Agg{sumA, count},
 		}},
+		{name: "join with duplicate build keys", tables: withDim, pl: &Pipeline{
+			Filter: cmp(Lt, colB, 500_000),
+			Joins:  []Join{dimJoin(nil)},
+			Aggs:   []Agg{count, sumA, {Kind: AggSum, Arg: ColExpr(1, colDV)}},
+		}},
+		{name: "join build filter empties the build side", tables: withDim, pl: &Pipeline{
+			Joins: []Join{dimJoin(&Pred{Op: PredCmp, Cmp: Gt, A: ColExpr(1, colDV), B: ConstExpr(5000)})},
+			Aggs:  []Agg{count, sumA},
+		}},
+		{name: "join computed build filter and cross-table arithmetic", tables: withDim, pl: &Pipeline{
+			Joins: []Join{dimJoin(&Pred{Op: PredCmp, Cmp: Lt,
+				A: Bin(OpAdd, ColExpr(1, colDV), ColExpr(1, colDK)), B: ConstExpr(300)})},
+			Aggs: []Agg{
+				{Kind: AggSum, Arg: Bin(OpMul, ColExpr(0, colA), ColExpr(1, colDV))},
+				{Kind: AggSum, Arg: Bin(OpSub, ColExpr(1, colDV), ColExpr(1, colDK))},
+				{Kind: AggMax, Arg: ColExpr(1, colDV)}, {Kind: AggMin, Arg: ColExpr(0, colB)}},
+		}},
+		{name: "join grouped on a build byte column", tables: withDim, pl: &Pipeline{
+			Filter:  cmp(Ge, colA, -30),
+			Joins:   []Join{dimJoin(nil)},
+			GroupBy: []*Expr{ColExpr(1, colDG)},
+			Aggs:    []Agg{{Kind: AggSum, Arg: ColExpr(1, colDV)}, count, {Kind: AggMin, Arg: ColExpr(0, colA)}},
+		}},
+		{name: "join dense keys across tables", tables: withDim, pl: &Pipeline{
+			Joins:   []Join{dimJoin(nil)},
+			GroupBy: []*Expr{ColExpr(0, colF), ColExpr(1, colDG)},
+			Aggs:    []Agg{{Kind: AggSum, Arg: ColExpr(1, colDG)}, count},
+		}},
+		{name: "join hash grouping on a build column", tables: withDim, pl: &Pipeline{
+			Joins:     []Join{dimJoin(nil)},
+			GroupBy:   []*Expr{ColExpr(1, colDK), ColExpr(0, colG)},
+			Aggs:      []Agg{{Kind: AggMax, Arg: ColExpr(1, colDV)}, count},
+			EstGroups: 4,
+		}},
+		{name: "two-join chain probing a build payload column", tables: []fastTable{driver, dim, ext}, pl: &Pipeline{
+			Filter: cmp(Lt, colB, 600_000),
+			Joins: []Join{
+				dimJoin(&Pred{Op: PredCmp, Cmp: Lt, A: ColExpr(1, colDV), B: ConstExpr(500)}),
+				{Build: 2, BuildKey: ColExpr(2, colEK), ProbeKey: ColExpr(1, colDE),
+					BuildFilter: &Pred{Op: PredCmp, Cmp: Ne, A: ColExpr(2, colEG), B: ConstExpr(0)}},
+			},
+			GroupBy: []*Expr{ColExpr(0, colK), ColExpr(2, colEG)},
+			Aggs: []Agg{{Kind: AggSum, Arg: Bin(OpAdd, ColExpr(0, colB), ColExpr(2, colEV))},
+				count, {Kind: AggMax, Arg: ColExpr(1, colDV)}},
+			OrderBy: []OrderKey{{Col: OutCol{Idx: 0}, Desc: true}, {Col: OutCol{Key: true, Idx: 1}}},
+			Limit:   10,
+		}},
+		{name: "join duplicate expansion overflows a batch", tables: []fastTable{driver, many}, pl: &Pipeline{
+			Joins:   []Join{{Build: 1, BuildKey: ColExpr(1, colMK), ProbeKey: ColExpr(0, colF)}},
+			GroupBy: []*Expr{ColExpr(0, colG)},
+			Aggs:    []Agg{{Kind: AggSum, Arg: ColExpr(1, colMV)}, count, sumA},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.pl.Tables = []TableRef{tr}
+			tables := tc.tables
+			if tables == nil {
+				tables = []fastTable{driver}
+			}
+			bound := &Bound{}
+			tc.pl.Tables = nil
+			for _, ft := range tables {
+				tc.pl.Tables = append(tc.pl.Tables, ft.ref)
+				bound.Tables = append(bound.Tables, ft.cols)
+			}
 			p := CompileFast(tc.pl, bound)
 			if p == nil {
-				t.Fatal("CompileFast declined a join-free pipeline")
+				t.Fatal("CompileFast declined the pipeline")
 			}
 			if (p.fused != nil) != tc.fused {
 				t.Errorf("fused executor engaged = %v, want %v", p.fused != nil, tc.fused)
 			}
 			want := naiveResult(tc.pl, bound)
-			for _, threads := range []int{1, 2, 5} {
+			for _, threads := range []int{1, 2, 4, 5} {
 				got, _ := p.Execute(threads)
 				if got != want {
 					t.Errorf("threads=%d: got %+v, want %+v", threads, got, want)
@@ -299,18 +441,39 @@ func TestFastPlanEmptyTable(t *testing.T) {
 	}
 }
 
-// TestCompileFastDeclinesJoins pins the fallback contract: joined
-// pipelines go back to the engines' nil-probe path.
-func TestCompileFastDeclinesJoins(t *testing.T) {
-	tr, bound := fastFixture(8, fastCol{name: "a", i64: make([]int64, 8)})
-	build := TableRef{Name: "b", Cols: []ColSpec{{Name: "x", Kind: I64}}, Rows: 8}
-	pl := &Pipeline{
-		Tables: []TableRef{tr, build},
-		Joins:  []Join{{Build: 1, BuildKey: ColExpr(1, 0), ProbeKey: ColExpr(0, 0)}},
-		Aggs:   []Agg{{Kind: AggCount}},
+// TestCompileFastDeclinesOnlyMalformedOrHuge pins the one contract
+// left for a nil plan: a table past 32-bit row indexes, a join chain
+// that does not connect its tables, or an expression reading a table
+// outside its scope. Fast mode reports these as ErrNoFastPlan instead
+// of running a second execution path.
+func TestCompileFastDeclinesOnlyMalformedOrHuge(t *testing.T) {
+	tr, single := fastFixture(8, fastCol{name: "a", i64: make([]int64, 8)})
+	build := newFastTable("b", 8, fastCol{name: "x", i64: make([]int64, 8)})
+	bound := &Bound{Tables: [][]Col{single.Tables[0], build.cols}}
+	join := func(j Join) *Pipeline {
+		return &Pipeline{Tables: []TableRef{tr, build.ref}, Joins: []Join{j}, Aggs: []Agg{{Kind: AggCount}}}
 	}
-	if CompileFast(pl, bound) != nil {
-		t.Fatal("CompileFast must decline joined pipelines")
+	ok := Join{Build: 1, BuildKey: ColExpr(1, 0), ProbeKey: ColExpr(0, 0)}
+	if CompileFast(join(ok), bound) == nil {
+		t.Fatal("CompileFast declined a well-formed join")
+	}
+	huge := tr
+	huge.Rows = math.MaxInt32 + 1
+	for name, pl := range map[string]*Pipeline{
+		"driver past 2^31-1 rows": {Tables: []TableRef{huge}, Aggs: []Agg{{Kind: AggCount}}},
+		"build filter reads the driver": join(Join{Build: 1, BuildKey: ColExpr(1, 0), ProbeKey: ColExpr(0, 0),
+			BuildFilter: cmp(Lt, 0, 3)}),
+		"probe key reads its own build side": join(Join{Build: 1, BuildKey: ColExpr(1, 0), ProbeKey: ColExpr(1, 0)}),
+		"join builds the driver":             join(Join{Build: 0, BuildKey: ColExpr(0, 0), ProbeKey: ColExpr(0, 0)}),
+		"table without a join":               {Tables: []TableRef{tr, build.ref}, Aggs: []Agg{{Kind: AggCount}}},
+	} {
+		b := bound
+		if len(pl.Tables) == 1 {
+			b = single
+		}
+		if CompileFast(pl, b) != nil {
+			t.Errorf("%s: CompileFast compiled a plan", name)
+		}
 	}
 }
 

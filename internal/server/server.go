@@ -218,12 +218,12 @@ func WithArgs(args []int64) SubmitOption {
 	return func(c *submitConfig) { c.args = args; c.hasArgs = true }
 }
 
-// WithFast runs this submission in profile-free fast mode: the real
-// computation, morsel partition and merge are exactly the measured
-// path's — the Result is bit-identical — but no probes attach, so no
-// micro-architectural events are simulated and the Response carries no
-// Profile. EXPLAIN and EXPLAIN ANALYZE statements ignore the flag:
-// they exist to show plans and profiles.
+// WithFast runs this submission in profile-free fast mode: the
+// statement runs on its compiled vectorized executor (joins included),
+// whose Result is bit-identical to a measured run's, but no probes
+// attach, so no micro-architectural events are simulated and the
+// Response carries no Profile. EXPLAIN and EXPLAIN ANALYZE statements
+// ignore the flag: they exist to show plans and profiles.
 func WithFast() SubmitOption {
 	return func(c *submitConfig) { c.fast = true }
 }
@@ -747,58 +747,32 @@ func (s *Server) execute(t *Ticket, text string, sc submitConfig, root *obs.Span
 	}
 
 	if sc.fast {
-		if fp := c.FastPlan(); fp != nil {
-			// The vectorized fast plan is cached on the Compiled, which
-			// the plan cache shares across sessions: repeated EXECUTEs of
-			// one template skip planning and engine construction and run
-			// the compiled kernels directly. Queries here are
-			// sub-millisecond, so they run on their own goroutines rather
-			// than rotating through the shared morsel pool; the admission
-			// ticket already bounds how many execute at once.
-			if err := t.ctx.Err(); err != nil {
-				return nil, err
-			}
-			if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.WorkerPanic, text) {
-				panic(&faults.ErrInjected{Point: faults.WorkerPanic, Key: text})
-			}
-			exec := root.Child("execute")
-			merged, used := fp.Execute(sc.threads)
-			exec.End()
-			s.tel.ExecMs.Observe(float64(exec.Duration()) / float64(time.Millisecond))
-			resp.Executed = true
-			resp.Fast = true
-			resp.Result = merged
-			resp.Threads = used
-			return resp, nil
+		// The vectorized fast plan is cached on the Compiled, which the
+		// plan cache shares across sessions: repeated EXECUTEs of one
+		// template skip planning and engine construction and run the
+		// compiled kernels directly, join builds included. Fast queries
+		// run on their own goroutines rather than rotating through the
+		// shared morsel pool; the admission ticket already bounds how
+		// many execute at once, and the deadline is checked before the
+		// scan starts.
+		fp := c.FastPlan()
+		if fp == nil {
+			return nil, relop.ErrNoFastPlan
 		}
-		// Fast mode for shapes the vectorized plan does not cover
-		// (joins): the same build, morsel partition, shared-pool scan
-		// and merge as the measured path below, but with a nil probe
-		// everywhere — no simulated cores attach, no events are
-		// accounted. The computation is real and identical, so Result is
-		// bit-identical to a measured run; Profile stays zero.
-		sp := root.Child("build")
-		as := probe.NewAddrSpace()
-		prep, err := c.Prepare(nil, as)
-		if err != nil {
-			sp.End()
+		if err := t.ctx.Err(); err != nil {
 			return nil, err
 		}
-		sp.End()
-		morsels := parallel.Morsels(prep.Rows(), 0, prep.MorselAlign(), sc.threads)
-		workers := parallel.NewFastWorkers(as, prep,
-			morsels, sc.threads, fmt.Sprintf("server.q%d.w", t.ID))
-		if err := s.runScan(t, text, root, workers, morsels); err != nil {
-			return nil, err
+		if s.cfg.Faults != nil && s.cfg.Faults.Fire(faults.WorkerPanic, text) {
+			panic(&faults.ErrInjected{Point: faults.WorkerPanic, Key: text})
 		}
-		sp = root.Child("finalize")
-		merged := relop.FinalizeProbed(nil, c.Pipeline, partialsOf(workers))
-		sp.End()
+		exec := root.Child("execute")
+		merged, used := fp.Execute(sc.threads)
+		exec.End()
+		s.tel.ExecMs.Observe(float64(exec.Duration()) / float64(time.Millisecond))
 		resp.Executed = true
 		resp.Fast = true
 		resp.Result = merged
-		resp.Threads = len(workers)
-		resp.Morsels = len(morsels)
+		resp.Threads = used
 		return resp, nil
 	}
 

@@ -1,6 +1,9 @@
 package sql
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzParse drives the lexer and parser with arbitrary inputs. Two
 // properties must hold: the parser never panics, and every accepted
@@ -73,6 +76,36 @@ limit 100`)
 		}
 		if got := s2.String(); got != canon {
 			t.Fatalf("canonical form is not a fixed point: %q -> %q -> %q", src, canon, got)
+		}
+	})
+}
+
+// FuzzFastMatchesMeasured checks fast mode against the measured
+// engines over the differential generator's grammar: the seed picks
+// one generated statement over the differential database, and
+// ExecuteFast at 1, 2 and 4 threads must equal the serial measured
+// Typer Result bit for bit. The seed corpus runs under plain go test;
+// `go test -fuzz FuzzFastMatchesMeasured ./internal/sql` explores
+// further seeds.
+func FuzzFastMatchesMeasured(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(diffDefaultSeed + seed*7919)
+	}
+	d, m := diffDB()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		q := genQuery(d, rand.New(rand.NewSource(seed))).sql
+		c, a, err := Run(d, m, q, Options{Engine: "typer"})
+		if err != nil {
+			t.Fatalf("seed %d: %s\n  measured typer: %v", seed, q, err)
+		}
+		for _, threads := range []int{1, 2, 4} {
+			r, err := c.ExecuteFast(threads)
+			if err != nil {
+				t.Fatalf("seed %d: %s\n  fast(%d): %v", seed, q, threads, err)
+			}
+			if !r.Equal(a.Result) {
+				t.Fatalf("seed %d: %s\n  fast(%d) %v != measured %v", seed, q, threads, r, a.Result)
+			}
 		}
 	})
 }

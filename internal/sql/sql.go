@@ -67,9 +67,7 @@ type Compiled struct {
 	// same policy the template was compiled with.
 	reqEngine string
 	// fastOnce/fastPlan lazily compile and cache the vectorized
-	// profile-free executor; nil for pipeline shapes it does not
-	// specialize (joins), which fast-execute through the engines'
-	// nil-probe worker path instead.
+	// profile-free executor (see FastPlan).
 	fastOnce sync.Once
 	fastPlan *relop.FastPlan
 }
@@ -391,13 +389,13 @@ func (c *Compiled) Prepare(p *probe.Probe, as *probe.AddrSpace) (relop.Prepared,
 }
 
 // FastPlan returns the statement's cached vectorized fast-mode
-// executor, compiling it on first use. It is nil for pipeline shapes
-// the vectorized executor does not specialize (joins), which
-// fast-execute through the engines' nil-probe worker path instead. The
-// plan is immutable and safe for concurrent Execute calls — the server
-// shares it across sessions through the plan cache, so repeated
-// EXECUTEs of one prepared statement skip both planning and engine
-// construction entirely.
+// executor, compiling it on first use. Every plan shape compiles, joins
+// included; it is nil only for an unbound template or a table too large
+// for the executor's 32-bit row indexes, which fast mode rejects with
+// relop.ErrNoFastPlan. The plan is immutable and safe for concurrent
+// Execute calls — the server shares it across sessions through the
+// plan cache, so repeated EXECUTEs of one prepared statement skip both
+// planning and engine construction entirely.
 func (c *Compiled) FastPlan() *relop.FastPlan {
 	if c.Pipeline == nil {
 		return nil
@@ -414,57 +412,22 @@ func (c *Compiled) FastPlan() *relop.FastPlan {
 	return c.fastPlan
 }
 
-// ExecuteFast runs the pipeline in profile-free fast mode: no
-// cache-hierarchy simulation, no branch predictor, no section
-// accounting — only the answer. Join-free pipelines run the compiled
-// vectorized FastPlan; everything else runs the real engines with nil
-// probes. Either way the Result is bit-identical to a measured run at
-// any thread count; there is no profile to report. threads <= 1 runs
-// one worker.
+// ExecuteFast runs the pipeline in profile-free fast mode on its
+// compiled vectorized FastPlan: no cache-hierarchy simulation, no
+// branch predictor, no section accounting — only the answer, which is
+// bit-identical to a measured run at any thread count. threads <= 1
+// runs one worker. A pipeline without a fast plan fails with
+// relop.ErrNoFastPlan.
 func (c *Compiled) ExecuteFast(threads int) (engine.Result, error) {
 	if err := c.errUnbound(); err != nil {
 		return engine.Result{}, err
 	}
-	threads = parallel.ClampThreads(c.machine, threads)
-	if fp := c.FastPlan(); fp != nil {
-		r, _ := fp.Execute(threads)
-		return r, nil
+	fp := c.FastPlan()
+	if fp == nil {
+		return engine.Result{}, relop.ErrNoFastPlan
 	}
-	return c.executeFastEngine(threads)
-}
-
-// executeFastEngine is fast mode for pipeline shapes the vectorized
-// executor does not cover: the same engines, morsel partition and
-// finalize as a measured run, but with nil probes throughout.
-func (c *Compiled) executeFastEngine(threads int) (engine.Result, error) {
-	as := probe.NewAddrSpace()
-	ex, err := c.executor(as)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	prep, err := ex.PreparePipeline(nil, as, c.Pipeline)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	morsels := parallel.Morsels(prep.Rows(), 0, prep.MorselAlign(), threads)
-	workers := parallel.NewFastWorkers(as, prep, morsels, threads, "fast.worker")
-	threads = len(workers)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int, w relop.Worker) {
-			defer wg.Done()
-			for i := t; i < len(morsels); i += threads {
-				w.RunMorsel(morsels[i].Start, morsels[i].End)
-			}
-		}(t, workers[t])
-	}
-	wg.Wait()
-	partials := make([]*relop.Partial, threads)
-	for t, w := range workers {
-		partials[t] = w.Partial()
-	}
-	return relop.FinalizeProbed(nil, c.Pipeline, partials), nil
+	r, _ := fp.Execute(parallel.ClampThreads(c.machine, threads))
+	return r, nil
 }
 
 // Execute runs the pipeline on the chosen engine at the compilation's
